@@ -72,6 +72,8 @@ race-obs:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRowRoundTrip -fuzztime 5s ./internal/dbc
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecode -fuzztime 5s ./internal/isa
+	$(GO) test -run '^$$' -fuzz FuzzAsmRoundTrip -fuzztime 5s ./internal/isa
+	$(GO) test -run '^$$' -fuzz FuzzParseInstruction -fuzztime 5s ./internal/isa
 	$(GO) test -run '^$$' -fuzz FuzzParseProgram -fuzztime 5s ./internal/isa/compile
 
 # Benchmarks of the word-packed bit-plane engine: DBC primitives, the

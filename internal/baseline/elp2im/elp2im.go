@@ -5,7 +5,7 @@
 // operations (§II-C1).
 //
 // Functionally its operations match Ambit's (bitwise logic over rows);
-// only the costs differ, so the functional helpers delegate to the same
+// only the costs differ, so the functional helper delegates to the same
 // reference semantics.
 package elp2im
 
@@ -17,16 +17,6 @@ import (
 
 // Row is a bulk-bitwise operand.
 type Row = ambit.Row
-
-// And computes a AND b (same result semantics as Ambit, in-place state
-// manipulation in hardware).
-func And(a, b Row) Row { return ambit.And(a, b) }
-
-// Or computes a OR b.
-func Or(a, b Row) Row { return ambit.Or(a, b) }
-
-// Xor computes a XOR b.
-func Xor(a, b Row) Row { return ambit.Xor(a, b) }
 
 // AndMulti reduces k operands with sequential two-operand ANDs.
 func AndMulti(ops []Row) (Row, error) { return ambit.AndMulti(ops) }

@@ -11,10 +11,13 @@
 // the single-wire reference model the packed engine is differentially
 // tested against (refdbc_test.go).
 //
-// All state-changing operations are traced: each control step logs into a
-// trace.Tracer from which cycle latency and energy are derived, and —
-// when a telemetry.Recorder is attached — also emits one timestamped
-// telemetry event (injected faults emit additional tagged events).
+// The DBC is the single point where device steps are counted: every
+// control step — issued by its own primitives, or priced by a PIM kernel
+// through Charge and Stall — lands in the DBC's trace.Stats ledger, from
+// which cycle latency and energy are derived, and, when a
+// telemetry.Recorder is attached, is emitted as one timestamped event
+// (injected faults emit additional tagged events). Ledger and recorder
+// clock therefore agree by construction.
 package dbc
 
 import (
@@ -34,11 +37,11 @@ type DBC struct {
 	rows  int // Y: data rows
 	trd   params.TRD
 
-	pa     *device.PlaneArray
-	tracer *trace.Tracer
-	rec    *telemetry.Recorder
-	src    telemetry.Source
-	inj    *device.FaultInjector
+	pa    *device.PlaneArray
+	stats trace.Stats // cost ledger: every control step issued on this DBC
+	rec   *telemetry.Recorder
+	src   telemetry.Source
+	inj   *device.FaultInjector
 }
 
 // New returns a DBC of width nanowires × rows data domains with a PIM
@@ -72,11 +75,65 @@ func (d *DBC) Rows() int { return d.rows }
 // TRD returns the PIM window length.
 func (d *DBC) TRD() params.TRD { return d.trd }
 
-// SetTracer directs subsequent operation accounting to t (nil disables).
-func (d *DBC) SetTracer(t *trace.Tracer) { d.tracer = t }
+// Stats returns a copy of the cost ledger: the device primitives of
+// every control step issued on this DBC since creation or ResetStats.
+func (d *DBC) Stats() trace.Stats { return d.stats }
 
-// Tracer returns the current tracer (possibly nil).
-func (d *DBC) Tracer() *trace.Tracer { return d.tracer }
+// ResetStats clears the cost ledger. The recorder clock is not touched.
+func (d *DBC) ResetStats() { d.stats = trace.Stats{} }
+
+// Charge prices one control step of kind op (a device step kind, OpShift
+// through OpStall) across wires nanowires or bits: it lands in the
+// ledger and on the attached recorder exactly like the DBC's own
+// primitives. PIM kernels whose functional result is computed
+// word-parallel use it for the device steps the hardware would issue.
+func (d *DBC) Charge(op telemetry.Op, wires int) {
+	d.tally(op, wires)
+	d.rec.Step(d.src, op, wires)
+}
+
+// Stall charges n idle cycles in which the controller holds the DBC
+// quiescent (recovery backoff between retry attempts): latency, no
+// energy. src tags the telemetry events, so the recovery layer keeps
+// its own track.
+func (d *DBC) Stall(src telemetry.Source, n int) {
+	if n <= 0 {
+		return
+	}
+	d.stats.StallSteps += n
+	d.rec.Stall(src, n)
+}
+
+// tally adds one control step of kind op across wires to the ledger.
+func (d *DBC) tally(op telemetry.Op, wires int) {
+	s := &d.stats
+	switch op {
+	case telemetry.OpShift:
+		s.ShiftSteps++
+		s.ShiftWires += wires
+	case telemetry.OpTR:
+		s.TRSteps++
+		s.TRWires += wires
+	case telemetry.OpWrite:
+		s.WriteSteps++
+		s.WriteBits += wires
+	case telemetry.OpRead:
+		s.ReadSteps++
+		s.ReadBits += wires
+	case telemetry.OpTW:
+		s.TWSteps++
+		s.TWBits += wires
+	case telemetry.OpCopy:
+		s.CopySteps++
+		s.CopyBits += wires
+	case telemetry.OpLogic:
+		s.LogicSteps++
+	case telemetry.OpStall:
+		s.StallSteps++
+	default:
+		panic(fmt.Sprintf("dbc: %v is not a device step", op))
+	}
+}
 
 // SetTelemetry attaches a telemetry recorder (nil disables); src tags
 // this DBC's events — memory.Memory uses the DBC coordinates.
@@ -106,11 +163,6 @@ func (d *DBC) checkRow(r Row) {
 func (d *DBC) LoadRow(r int, bits Row) {
 	d.checkRow(bits)
 	d.pa.SetRow(r, bits.Words)
-}
-
-// LoadConst fills data row r with the constant bit (Fig. 7 padding).
-func (d *DBC) LoadConst(r int, bit uint8) {
-	d.pa.FillRow(r, bit)
 }
 
 // PeekRow returns an owned copy of data row r without modelling an
@@ -152,7 +204,7 @@ func (d *DBC) Shift(steps int) error {
 				return err
 			}
 		}
-		d.tracer.Shift(d.width)
+		d.tally(telemetry.OpShift, d.width)
 		if d.rec != nil {
 			// The explicit nil guard keeps the disabled path at one
 			// branch: Offset() is only computed when somebody listens.
@@ -207,7 +259,7 @@ func (d *DBC) ReadPort(s device.Side) Row {
 func (d *DBC) ReadPortInto(s device.Side, out Row) {
 	d.checkRow(out)
 	d.pa.ReadPort(s, out.Words)
-	d.tracer.Read(d.width)
+	d.tally(telemetry.OpRead, d.width)
 	if d.rec != nil {
 		d.rec.StepPort(d.src, telemetry.OpRead, d.width, d.pa.RowAtPort(s), portOf(s))
 	}
@@ -225,7 +277,7 @@ func portOf(s device.Side) int {
 func (d *DBC) WritePort(s device.Side, bits Row) {
 	d.checkRow(bits)
 	d.pa.WritePort(s, bits.Words)
-	d.tracer.Write(d.width)
+	d.tally(telemetry.OpWrite, d.width)
 	if d.rec != nil {
 		d.rec.StepPort(d.src, telemetry.OpWrite, d.width, d.pa.RowAtPort(s), portOf(s))
 	}
@@ -245,7 +297,7 @@ func (d *DBC) WriteScatter(writes []PortBit) {
 			right = true
 		}
 	}
-	d.tracer.Write(len(writes))
+	d.tally(telemetry.OpWrite, len(writes))
 	if d.rec != nil {
 		d.stepScatter(len(writes), left, right)
 	}
@@ -332,8 +384,7 @@ func (d *DBC) TRAllPlanesInto(lp *LevelPlanes) {
 		device.PerturbTRPlanes(lp.C0, lp.C1, lp.C2, flip, up, int(d.trd))
 		d.rec.Fault(d.src, "tr-level", device.OnesCount(flip))
 	}
-	d.tracer.TR(d.width)
-	d.rec.Step(d.src, telemetry.OpTR, d.width)
+	d.Charge(telemetry.OpTR, d.width)
 }
 
 // TRAll performs a transverse read on every nanowire in one traced
@@ -381,27 +432,19 @@ func (d *DBC) TRWiresInto(levels []int, wires []int) error {
 		}
 		levels[w] = sensed
 	}
-	d.tracer.TR(len(wires))
-	d.rec.Step(d.src, telemetry.OpTR, len(wires))
+	d.Charge(telemetry.OpTR, len(wires))
 	return nil
 }
 
-// TRMasked performs a transverse read on the bitlines selected by mask
-// (bit w%64 of word w/64) in one traced control step — the word-parallel
-// form of TRWires for periodic wire selections such as the Fig. 6 carry
+// TRMaskedInto performs a transverse read on the bitlines selected by
+// mask (bit w%64 of word w/64) in one traced control step, writing into
+// caller-owned planes (sized by NewLevelPlanes) — the word-parallel form
+// of TRWiresInto for periodic wire selections such as the Fig. 6 carry
 // chain, where per-index validation is statically unnecessary. wires
 // must be the number of selected bitlines (trace accounting). Unselected
-// lanes of the returned planes are zero. With a fault injector attached,
-// the per-wire perturbation draws happen in increasing wire order,
-// consuming exactly the random stream of the equivalent TRWires call.
-func (d *DBC) TRMasked(mask []uint64, wires int) LevelPlanes {
-	lp := NewLevelPlanes(d.width)
-	d.TRMaskedInto(&lp, mask, wires)
-	return lp
-}
-
-// TRMaskedInto is TRMasked writing into caller-owned planes (sized by
-// NewLevelPlanes), for hot paths that reuse a scratch buffer.
+// lanes of the planes are zero. With a fault injector attached, the
+// per-wire perturbation draws happen in increasing wire order, consuming
+// exactly the random stream of the equivalent TRWires call.
 func (d *DBC) TRMaskedInto(lp *LevelPlanes, mask []uint64, wires int) {
 	d.pa.TRPlanes(lp.C0, lp.C1, lp.C2)
 	for i := range lp.C0 {
@@ -426,8 +469,7 @@ func (d *DBC) TRMaskedInto(lp *LevelPlanes, mask []uint64, wires int) {
 			}
 		}
 	}
-	d.tracer.TR(wires)
-	d.rec.Step(d.src, telemetry.OpTR, wires)
+	d.Charge(telemetry.OpTR, wires)
 }
 
 // WriteScatterPlanes performs, in one traced control step, word-parallel
@@ -439,7 +481,7 @@ func (d *DBC) TRMaskedInto(lp *LevelPlanes, mask []uint64, wires int) {
 func (d *DBC) WriteScatterPlanes(left, leftMask, right, rightMask []uint64, count int) {
 	d.pa.WritePortMasked(device.Left, left, leftMask)
 	d.pa.WritePortMasked(device.Right, right, rightMask)
-	d.tracer.Write(count)
+	d.tally(telemetry.OpWrite, count)
 	if d.rec != nil {
 		d.stepScatter(count, leftMask != nil, rightMask != nil)
 	}
@@ -452,15 +494,11 @@ func (d *DBC) WriteScatterPlanes(left, leftMask, right, rightMask []uint64, coun
 func (d *DBC) TW(bits Row) {
 	d.checkRow(bits)
 	d.pa.TW(bits.Words)
-	d.tracer.TW(d.width)
+	d.tally(telemetry.OpTW, d.width)
 	if d.rec != nil {
 		d.rec.StepPort(d.src, telemetry.OpTW, d.width, d.pa.RowAtPort(device.Left), telemetry.PortLeft)
 	}
 }
-
-// WindowRow maps window position i (0 = left port) to the data row
-// currently aligned there, or -1 for an overhead domain.
-func (d *DBC) WindowRow(i int) int { return d.pa.WindowRow(i) }
 
 // PokeWindow overwrites the domain at window position i on every wire
 // without tracing. It models Fig. 7 pre-populated padding constants that

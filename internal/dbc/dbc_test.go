@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/params"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -138,8 +139,6 @@ func TestDBCTWRow(t *testing.T) {
 
 func TestDBCWriteScatter(t *testing.T) {
 	d := MustNew(8, 32, params.TRD7)
-	tr := &trace.Tracer{}
-	d.SetTracer(tr)
 	d.WriteScatter([]PortBit{
 		{Wire: 0, Side: device.Left, Bit: 1},
 		{Wire: 1, Side: device.Right, Bit: 1},
@@ -151,7 +150,7 @@ func TestDBCWriteScatter(t *testing.T) {
 	if got := d.PeekWindow(6).Get(1); got != 1 {
 		t.Errorf("wire 1 right port = %d, want 1", got)
 	}
-	s := tr.Stats()
+	s := d.Stats()
 	if s.WriteSteps != 1 || s.WriteBits != 3 {
 		t.Errorf("scatter traced %d steps / %d bits, want 1/3", s.WriteSteps, s.WriteBits)
 	}
@@ -159,8 +158,6 @@ func TestDBCWriteScatter(t *testing.T) {
 
 func TestDBCTracing(t *testing.T) {
 	d := MustNew(8, 32, params.TRD7)
-	tr := &trace.Tracer{}
-	d.SetTracer(tr)
 	if err := d.Shift(3); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +165,7 @@ func TestDBCTracing(t *testing.T) {
 	d.WritePort(device.Left, NewRow(8))
 	d.ReadPort(device.Right)
 	d.TW(NewRow(8))
-	s := tr.Stats()
+	s := d.Stats()
 	if s.ShiftSteps != 3 || s.ShiftWires != 24 {
 		t.Errorf("shift trace %d/%d, want 3/24", s.ShiftSteps, s.ShiftWires)
 	}
@@ -177,6 +174,77 @@ func TestDBCTracing(t *testing.T) {
 	}
 	if s.Cycles() != 3+1+1+1+1 {
 		t.Errorf("cycles = %d, want 7", s.Cycles())
+	}
+}
+
+// TestDBCChargeStallReset covers the cost ledger's kernel-facing entry
+// points: Charge books every device step kind into its step and wire
+// counters, Stall books idle cycles with no energy, both advance the
+// attached recorder's clock in step with the ledger, and ResetStats
+// clears the ledger without touching the recorder.
+func TestDBCChargeStallReset(t *testing.T) {
+	d := MustNew(8, 32, params.TRD7)
+	rec := telemetry.NewRecorder(params.DefaultConfig())
+	d.SetTelemetry(rec, "dbc")
+	d.Charge(telemetry.OpShift, 4)
+	d.Charge(telemetry.OpShift, 4)
+	d.Charge(telemetry.OpTR, 16)
+	d.Charge(telemetry.OpWrite, 3)
+	d.Charge(telemetry.OpRead, 2)
+	d.Charge(telemetry.OpTW, 8)
+	d.Charge(telemetry.OpCopy, 5)
+	d.Charge(telemetry.OpLogic, 0)
+	d.Charge(telemetry.OpStall, 0)
+	d.Stall("resilient", 3)
+	d.Stall("resilient", 0)
+	d.Stall("resilient", -2)
+	want := trace.Stats{
+		ShiftSteps: 2, ShiftWires: 8,
+		TRSteps: 1, TRWires: 16,
+		WriteSteps: 1, WriteBits: 3,
+		ReadSteps: 1, ReadBits: 2,
+		TWSteps: 1, TWBits: 8,
+		CopySteps: 1, CopyBits: 5,
+		LogicSteps: 1,
+		StallSteps: 4,
+	}
+	s := d.Stats()
+	if s != want {
+		t.Errorf("ledger = %+v, want %+v", s, want)
+	}
+	if s.Cycles() != 12 {
+		t.Errorf("cycles = %d, want 12", s.Cycles())
+	}
+	if got := rec.Cycle(); got != uint64(s.Cycles()) {
+		t.Errorf("recorder clock %d, ledger cycles %d", got, s.Cycles())
+	}
+	if got, want := rec.Metrics().Sources()["resilient"].Cycles(), uint64(3); got != want {
+		t.Errorf("stall cycles on the resilient track = %d, want %d", got, want)
+	}
+	d.ResetStats()
+	if d.Stats() != (trace.Stats{}) {
+		t.Error("ResetStats did not clear the ledger")
+	}
+	if rec.Cycle() != 12 {
+		t.Errorf("ResetStats moved the recorder clock to %d", rec.Cycle())
+	}
+	// Without a recorder the ledger still counts.
+	d.SetTelemetry(nil, "")
+	d.Charge(telemetry.OpTR, 8)
+	if s := d.Stats(); s.TRSteps != 1 || s.TRWires != 8 {
+		t.Errorf("unrecorded charge booked %+v", s)
+	}
+	// Instants, spans and markers are not device steps: charging one is
+	// a programming error, not a silent zero-cost cycle.
+	for op := telemetry.OpFault; int(op) < telemetry.NumOps; op++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Charge(%v) did not panic", op)
+				}
+			}()
+			d.Charge(op, 1)
+		}()
 	}
 }
 

@@ -154,8 +154,6 @@ func runDifferential(t *testing.T, trd params.TRD, seed int64, faulty bool) {
 	t.Helper()
 	const width, rows = 67, 32
 	d := MustNew(width, rows, trd)
-	tr := &trace.Tracer{}
-	d.SetTracer(tr)
 	ref := newRefDBC(width, rows, trd)
 	if faulty {
 		// Same-seeded injectors: both engines must consume the identical
@@ -240,7 +238,7 @@ func runDifferential(t *testing.T, trd params.TRD, seed int64, faulty bool) {
 			}
 		}
 	}
-	if got := tr.Stats(); got != ref.stats {
+	if got := d.Stats(); got != ref.stats {
 		t.Fatalf("trd=%v seed=%d: trace stats diverged:\n got %+v\nwant %+v", trd, seed, got, ref.stats)
 	}
 	for r := 0; r < rows; r++ {
@@ -328,20 +326,18 @@ func TestPeekReturnsOwnedCopies(t *testing.T) {
 // rejected, and a rejected call leaves the trace untouched.
 func TestTRWiresValidation(t *testing.T) {
 	d := MustNew(8, 32, params.TRD7)
-	tr := &trace.Tracer{}
-	d.SetTracer(tr)
 	for _, bad := range [][]int{{-1}, {8}, {0, 17}, {3, 3}, {0, 1, 2, 1}} {
 		if _, err := d.TRWires(bad); err == nil {
 			t.Errorf("TRWires(%v): want error, got nil", bad)
 		}
 	}
-	if got := tr.Stats(); got != (trace.Stats{}) {
+	if got := d.Stats(); got != (trace.Stats{}) {
 		t.Errorf("rejected TRWires calls traced events: %+v", got)
 	}
 	if levels, err := d.TRWires([]int{1, 6}); err != nil || levels[1] != 0 || levels[6] != 0 || levels[0] != -1 {
 		t.Errorf("valid TRWires failed: levels=%v err=%v", levels, err)
 	}
-	if got := tr.Stats(); got.TRSteps != 1 || got.TRWires != 2 {
+	if got := d.Stats(); got.TRSteps != 1 || got.TRWires != 2 {
 		t.Errorf("valid TRWires mistraced: %+v", got)
 	}
 }

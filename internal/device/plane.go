@@ -154,22 +154,10 @@ func (pa *PlaneArray) SetRow(r int, src []uint64) {
 	pa.storePlane(pa.plane(pa.start+r), src)
 }
 
-// FillRow fills data row r with a constant bit.
-func (pa *PlaneArray) FillRow(r int, b Bit) {
-	pa.checkRow(r)
-	pa.fillPlane(pa.plane(pa.start+r), b)
-}
-
 // RowWords copies data row r into dst without modelling an access.
 func (pa *PlaneArray) RowWords(r int, dst []uint64) {
 	pa.checkRow(r)
 	copy(dst, pa.plane(pa.start+r))
-}
-
-// SetRowBit overwrites the single domain of wire w in data row r.
-func (pa *PlaneArray) SetRowBit(r, w int, b Bit) {
-	pa.checkRow(r)
-	setBit(pa.plane(pa.start+r), w, b)
 }
 
 // RowBit returns the domain of wire w in data row r.
@@ -394,17 +382,6 @@ func (pa *PlaneArray) checkWindow(i int) {
 	if i < 0 || i >= int(pa.trd) {
 		panic(fmt.Sprintf("device: window index %d out of range [0,%d)", i, int(pa.trd)))
 	}
-}
-
-// WindowRow returns the data row currently aligned with window position
-// i (0 = under the left port), or -1 for an overhead domain.
-func (pa *PlaneArray) WindowRow(i int) int {
-	pa.checkWindow(i)
-	r := pa.portL + i - pa.start
-	if r < 0 || r >= pa.rows {
-		return -1
-	}
-	return r
 }
 
 // PokeWindow overwrites the plane at window position i from src without

@@ -256,9 +256,6 @@ func (m *Memory) PlanBatch(reqs []Request) *BatchPlan {
 	return bp
 }
 
-// Memory returns the memory the plan was built against.
-func (bp *BatchPlan) Memory() *Memory { return bp.mem }
-
 // Run executes the planned batch, exactly like ExecuteBatch on the
 // original requests. Results are freshly allocated and positional.
 func (bp *BatchPlan) Run() []Result {

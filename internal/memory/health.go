@@ -6,9 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dbc"
 	"repro/internal/isa"
-	"repro/internal/pim"
 	"repro/internal/resilient"
 	"repro/internal/telemetry"
 )
@@ -212,9 +210,10 @@ func (m *Memory) findSpareLocked(victim isa.Addr) (isa.Addr, bool) {
 
 // remapShard replaces the victim shard's physical cluster with a fresh
 // one (the spare), migrating all rows. The shard object — and with it
-// the lock, the tracer and the telemetry source — survives, so in-flight
-// lock-ordering invariants are unaffected; the swap happens under the
-// shard lock.
+// the lock and the telemetry source — survives, so in-flight
+// lock-ordering invariants are unaffected; the victim's cost ledger is
+// carried into the shard's retired total, so Stats never drop. The swap
+// happens under the shard lock.
 func (m *Memory) remapShard(base, spare isa.Addr) error {
 	m.tableMu.RLock()
 	sh := m.shards[base]
@@ -230,43 +229,17 @@ func (m *Memory) remapShard(base, spare isa.Addr) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	old := sh.d
-	var nd *dbc.DBC
-	if sh.u != nil {
-		u, err := pim.NewUnit(m.cfg)
-		if err != nil {
-			return err
-		}
-		u.D.SetTracer(sh.tr)
-		u.D.SetFaultInjector(inj)
-		u.SetTelemetry(rec, srcFor(base))
-		nd = u.D
-		sh.u = u
-		sh.ex = nil
-		if pol.Enabled() {
-			ex, err := resilient.NewExecutor(u, pol)
-			if err != nil {
-				return err
-			}
-			sh.ex = ex
-		}
-	} else {
-		d, err := dbc.New(m.cfg.Geometry.TrackWidth, m.cfg.Geometry.RowsPerDBC, m.cfg.TRD)
-		if err != nil {
-			return err
-		}
-		d.SetTracer(sh.tr)
-		d.SetFaultInjector(inj)
-		d.SetTelemetry(rec, srcFor(base))
-		nd = d
+	if err := m.equip(sh, sh.u != nil, inj, rec, pol); err != nil {
+		return err
 	}
 	// Migrate the victim's contents row by row. The copies ride the row
 	// buffer like any other intra-bank movement, so they are priced as
 	// row copies on the telemetry stream.
 	for r := 0; r < m.cfg.Geometry.RowsPerDBC; r++ {
-		nd.LoadRow(r, old.PeekRow(r))
-		rec.Move(srcFor(base), telemetry.OpRowCopy, nd.Width())
+		sh.d.LoadRow(r, old.PeekRow(r))
+		rec.Move(sh.d.Source(), telemetry.OpRowCopy, sh.d.Width())
 	}
-	sh.d = nd
+	sh.retired.Add(old.Stats())
 	return nil
 }
 

@@ -9,17 +9,20 @@
 // touched clusters exist.
 //
 // Concurrency model: the memory is striped per DBC — each materialized
-// cluster is a shard with its own lock and its own trace.Tracer, so
-// operations on disjoint clusters never contend (the bank-level
-// parallelism the DBC organization exists to provide). Multi-DBC
-// operations (CopyRow, Execute's operand staging) take the involved
-// shard locks in global address order, which makes deadlock impossible.
-// ExecuteBatch (batch.go) runs whole request groups on a worker pool on
-// top of the same striping. All accesses are traced; Stats() merges the
-// per-shard tracers under their locks, so it is safe — and consistent —
-// while operations are in flight. Every access is also recorded by the
-// memory's telemetry recorder, row movement included, so MoveStats is a
-// view over the unified telemetry counters rather than a bespoke tally.
+// cluster is a shard with its own lock around its DBC, whose cost ledger
+// counts every device step issued on it, so operations on disjoint
+// clusters never contend (the bank-level parallelism the DBC
+// organization exists to provide). Multi-DBC operations (CopyRow,
+// Execute's operand staging) take the involved shard locks in global
+// address order, which makes deadlock impossible. ExecuteBatch
+// (batch.go) runs whole request groups on a worker pool on top of the
+// same striping. All accesses are traced; Stats() sums the per-DBC
+// ledgers under their shard locks, so it is safe — and consistent —
+// while operations are in flight, and it agrees with the recorder's
+// cycle clock because both are fed by the same DBC steps. Every access
+// is also recorded by the memory's telemetry recorder, row movement
+// included, so MoveStats is a view over the unified telemetry counters
+// rather than a bespoke tally.
 //
 // Fault injection is the one feature that serializes: the injector's
 // random stream is consumed in operation order, so reproducible
@@ -63,22 +66,15 @@ type shard struct {
 	d    *dbc.DBC
 	u    *pim.Unit           // non-nil iff the cluster is PIM-enabled
 	ex   *resilient.Executor // non-nil iff u != nil and recovery is enabled
-	// tr is the shard's slice of the memory-wide device accounting;
-	// trace.Tracer is plain counters, so sharing one across shards would
-	// race. Stats() folds the shards together.
-	tr *trace.Tracer
+	// retired is the ledger of the physical clusters a quarantine remap
+	// has replaced, so the shard's Stats never drop across a remap.
+	retired trace.Stats
 }
 
-// setRecorder points the shard's DBC (and unit) at rec. Callers hold
-// sh.mu; ExecuteBatch uses this to divert a group's events into a
+// setRecorder points the shard's DBC at rec, keeping its source. Callers
+// hold sh.mu; ExecuteBatch uses this to divert a group's events into a
 // capture recorder for deterministic merging.
-func (sh *shard) setRecorder(rec *telemetry.Recorder) {
-	if sh.u != nil {
-		sh.u.SetTelemetry(rec, srcFor(sh.base))
-		return
-	}
-	sh.d.SetTelemetry(rec, srcFor(sh.base))
-}
+func (sh *shard) setRecorder(rec *telemetry.Recorder) { sh.d.SetTelemetry(rec, sh.d.Source()) }
 
 // recorder returns the recorder currently attached to the shard's DBC.
 func (sh *shard) recorder() *telemetry.Recorder { return sh.d.Recorder() }
@@ -147,15 +143,17 @@ func (m *Memory) snapshotShards() []*shard {
 	return out
 }
 
-// Stats returns the accumulated device-primitive counts of every DBC.
-// It folds the per-shard tracers under their locks, one shard at a
-// time, so it is safe to call while operations — including a batch —
-// are in flight and never blocks the whole memory.
+// Stats returns the accumulated device-primitive counts of every DBC,
+// including clusters retired by quarantine remaps. It sums the per-DBC
+// ledgers under their shard locks, one shard at a time, so it is safe to
+// call while operations — including a batch — are in flight and never
+// blocks the whole memory.
 func (m *Memory) Stats() trace.Stats {
 	var total trace.Stats
 	for _, sh := range m.snapshotShards() {
 		sh.mu.Lock()
-		s := sh.tr.Stats()
+		s := sh.d.Stats()
+		s.Add(sh.retired)
 		sh.mu.Unlock()
 		total.Add(s)
 	}
@@ -263,40 +261,45 @@ func (m *Memory) shardFor(a isa.Addr) (*shard, error) {
 	if sh, ok := m.shards[base]; ok {
 		return sh, nil
 	}
-	sh = &shard{base: base, tr: &trace.Tracer{}}
+	sh = &shard{base: base}
 	m.cfgMu.Lock()
 	rec, pol := m.rec, m.pol
 	m.cfgMu.Unlock()
-	inj := m.injectorFor(base)
-	if a.IsPIMEnabled(m.cfg.Geometry) {
-		u, err := pim.NewUnit(m.cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Route the unit's device accounting into the shard tracer.
-		u.D.SetTracer(sh.tr)
-		u.D.SetFaultInjector(inj)
-		u.SetTelemetry(rec, srcFor(base))
-		sh.u, sh.d = u, u.D
-		if pol.Enabled() {
-			ex, err := resilient.NewExecutor(u, pol)
-			if err != nil {
-				return nil, err
-			}
-			sh.ex = ex
-		}
-	} else {
-		d, err := dbc.New(m.cfg.Geometry.TrackWidth, m.cfg.Geometry.RowsPerDBC, m.cfg.TRD)
-		if err != nil {
-			return nil, err
-		}
-		d.SetTracer(sh.tr)
-		d.SetFaultInjector(inj)
-		d.SetTelemetry(rec, srcFor(base))
-		sh.d = d
+	if err := m.equip(sh, a.IsPIMEnabled(m.cfg.Geometry), m.injectorFor(base), rec, pol); err != nil {
+		return nil, err
 	}
 	m.shards[base] = sh
 	return sh, nil
+}
+
+// equip builds the shard's physical cluster — a PIM unit (with a
+// recovery executor when pol is enabled) if withPIM, a plain DBC
+// otherwise — wired to inj and to rec under the shard's source. The
+// shard's fields change only on success.
+func (m *Memory) equip(sh *shard, withPIM bool, inj *device.FaultInjector, rec *telemetry.Recorder, pol resilient.Policy) error {
+	var (
+		d   *dbc.DBC
+		u   *pim.Unit
+		ex  *resilient.Executor
+		err error
+	)
+	if withPIM {
+		if u, err = pim.NewUnit(m.cfg); err != nil {
+			return err
+		}
+		if pol.Enabled() {
+			if ex, err = resilient.NewExecutor(u, pol); err != nil {
+				return err
+			}
+		}
+		d = u.D
+	} else if d, err = dbc.New(m.cfg.Geometry.TrackWidth, m.cfg.Geometry.RowsPerDBC, m.cfg.TRD); err != nil {
+		return err
+	}
+	d.SetFaultInjector(inj)
+	d.SetTelemetry(rec, srcFor(sh.base))
+	sh.d, sh.u, sh.ex = d, u, ex
+	return nil
 }
 
 // lockOrdered materializes and locks the shards of the given DBC bases
@@ -442,7 +445,7 @@ func copyLocked(shards []*shard, src, dst isa.Addr) (dbc.Row, error) {
 	if err := dstSh.writeRow(dst, row); err != nil {
 		return dbc.Row{}, err
 	}
-	dstSh.recorder().Move(srcFor(dbcBase(dst)), telemetry.OpRowCopy, row.N)
+	dstSh.recorder().Move(dstSh.d.Source(), telemetry.OpRowCopy, row.N)
 	return row, nil
 }
 
@@ -698,7 +701,7 @@ func (m *Memory) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Ad
 func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 	execSh := shardByBase(shards, dbcBase(p.in.Src))
 	u := execSh.u
-	defer execSh.recorder().Span(srcFor(execSh.base), "exec-"+p.in.Op.String())()
+	defer execSh.recorder().Span(execSh.d.Source(), "exec-"+p.in.Op.String())()
 	rows := make([]dbc.Row, len(p.operands))
 	for i, a := range p.operands {
 		row, err := shardByBase(shards, dbcBase(a)).readRow(a)
@@ -707,7 +710,7 @@ func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 		}
 		if dbcBase(a) != dbcBase(p.in.Src) {
 			// Staged over the row buffer into the executing DBC.
-			execSh.recorder().Move(srcFor(execSh.base), telemetry.OpRowCopy, row.N)
+			execSh.recorder().Move(execSh.d.Source(), telemetry.OpRowCopy, row.N)
 		}
 		rows[i] = row
 	}
@@ -716,7 +719,7 @@ func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 	var err error
 	if ex := execSh.ex; ex != nil {
 		// Recovered path: the executor re-runs the op per its policy,
-		// prices retries into the shard tracer, and reports detected
+		// prices retries into the DBC ledger, and reports detected
 		// faults to the health ledger (quarantines are processed by the
 		// caller once all locks are released).
 		var out resilient.Outcome

@@ -20,8 +20,8 @@ import (
 func (u *Unit) BulkBitwise(op dbc.Op, operands []dbc.Row) (dbc.Row, error) {
 	// The span name is only materialized when telemetry is attached:
 	// the string concat would otherwise allocate on the disabled path.
-	if u.rec != nil {
-		defer u.rec.Span(u.src, "bulk-"+op.String())()
+	if rec := u.D.Recorder(); rec != nil {
+		defer rec.Span(u.D.Source(), "bulk-"+op.String())()
 	}
 	k := len(operands)
 	if k == 0 {

@@ -6,11 +6,14 @@
 // N-modular redundancy voting (§III-F).
 //
 // Every operation runs functionally on the bit-level DBC model — results
-// are exact and are property-tested against integer arithmetic — while a
-// trace.Tracer counts the device primitives from which cycle latency and
-// energy derive. Cycle-count anchors from the paper (§V-B): an 8-bit
-// five-operand add takes 10 cycles of operand placement plus 16 cycles of
-// per-bit TR+write = 26 cycles; one 7→3 reduction takes 4 cycles.
+// are exact and are property-tested against integer arithmetic — while
+// the DBC's cost ledger counts the device primitives from which cycle
+// latency and energy derive. The unit keeps no counter of its own: steps
+// a kernel computes word-parallel are priced through dbc.DBC.Charge, so
+// a unit's Stats and its recorder's clock are one account. Cycle-count
+// anchors from the paper (§V-B): an 8-bit five-operand add takes 10
+// cycles of operand placement plus 16 cycles of per-bit TR+write = 26
+// cycles; one 7→3 reduction takes 4 cycles.
 package pim
 
 import (
@@ -27,9 +30,6 @@ import (
 type Unit struct {
 	D   *dbc.DBC
 	cfg params.Config
-	tr  *trace.Tracer
-	rec *telemetry.Recorder
-	src telemetry.Source
 
 	// lp is the scratch destination for transverse reads: valid only
 	// until the next TR, so every consumer copies what it keeps.
@@ -50,9 +50,7 @@ func NewUnit(cfg params.Config) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &Unit{D: d, cfg: cfg, tr: &trace.Tracer{}, lp: dbc.NewLevelPlanes(cfg.Geometry.TrackWidth)}
-	d.SetTracer(u.tr)
-	return u, nil
+	return &Unit{D: d, cfg: cfg, lp: dbc.NewLevelPlanes(cfg.Geometry.TrackWidth)}, nil
 }
 
 // MustNewUnit is NewUnit for configurations known to be valid.
@@ -73,39 +71,35 @@ func (u *Unit) Width() int { return u.D.Width() }
 // TRD returns the unit's transverse-read distance.
 func (u *Unit) TRD() params.TRD { return u.cfg.TRD }
 
-// Tracer exposes the unit's primitive-op accounting.
-func (u *Unit) Tracer() *trace.Tracer { return u.tr }
-
-// SetTelemetry attaches a telemetry recorder to the unit and its DBC
-// (nil disables); src tags the unit's events and names its track in the
+// SetTelemetry attaches a telemetry recorder to the unit's DBC (nil
+// disables); src tags the unit's events and names its track in the
 // Chrome trace export.
 func (u *Unit) SetTelemetry(rec *telemetry.Recorder, src telemetry.Source) {
-	u.rec, u.src = rec, src
 	u.D.SetTelemetry(rec, src)
 }
 
 // Recorder returns the attached telemetry recorder (possibly nil).
-func (u *Unit) Recorder() *telemetry.Recorder { return u.rec }
+func (u *Unit) Recorder() *telemetry.Recorder { return u.D.Recorder() }
 
 // TelemetrySource returns the source label the unit's events carry.
-func (u *Unit) TelemetrySource() telemetry.Source { return u.src }
+func (u *Unit) TelemetrySource() telemetry.Source { return u.D.Source() }
 
 // Span opens a named telemetry span on the unit's track and returns its
 // closer, for the `defer u.Span("add")()` idiom. Every public PIM
 // operation wraps itself in a span, so workload-level spans nest around
 // operation spans, which nest around primitive steps. With no recorder
 // attached the returned closer is a shared no-op.
-func (u *Unit) Span(name string) func() { return u.rec.Span(u.src, name) }
+func (u *Unit) Span(name string) func() { return u.D.Recorder().Span(u.D.Source(), name) }
 
-// Stats returns the accumulated primitive counts.
-func (u *Unit) Stats() trace.Stats { return u.tr.Stats() }
+// Stats returns the primitive counts accumulated on the unit's DBC.
+func (u *Unit) Stats() trace.Stats { return u.D.Stats() }
 
-// ResetStats clears the accumulated counters.
-func (u *Unit) ResetStats() { u.tr.Reset() }
+// ResetStats clears the DBC's accumulated counters.
+func (u *Unit) ResetStats() { u.D.ResetStats() }
 
 // Cost converts the accumulated trace into a latency/energy cost.
 func (u *Unit) Cost() trace.Cost {
-	return trace.OfStats(u.tr.Stats(), u.cfg.Energy, u.cfg.TRD)
+	return trace.OfStats(u.D.Stats(), u.cfg.Energy, u.cfg.TRD)
 }
 
 // maxAddOperands returns the operand limit for multi-operand addition.
@@ -170,30 +164,6 @@ func (u *Unit) placeWindow(rows []dbc.Row, pad uint8, finalShift bool) error {
 		u.D.PokeWindowConst(0, pad)
 	}
 	return nil
-}
-
-// chargeStep charges one device control step of the given kind across
-// width wires to both cost sinks: the primitive tracer (latency/energy
-// derivation) and the telemetry recorder (cycle clock). Operations whose
-// functional result is computed word-parallel use it to account the
-// device steps the hardware would issue, exactly as Multiply charges its
-// predicated copy/shift pairs.
-func (u *Unit) chargeStep(op telemetry.Op, width int) {
-	switch op {
-	case telemetry.OpShift:
-		u.tr.Shift(width)
-	case telemetry.OpTR:
-		u.tr.TR(width)
-	case telemetry.OpTW:
-		u.tr.TW(width)
-	case telemetry.OpRead:
-		u.tr.Read(width)
-	case telemetry.OpWrite:
-		u.tr.Write(width)
-	case telemetry.OpCopy:
-		u.tr.Copy(width)
-	}
-	u.rec.Step(u.src, op, width)
 }
 
 // trAll performs a traced whole-DBC transverse read into the unit's

@@ -49,15 +49,6 @@ func (h Hist) Sum() uint64 { return h.SumV }
 // Max returns the exact maximum observed sample (0 when empty).
 func (h Hist) Max() uint64 { return h.MaxV }
 
-// Mean returns the exact mean of the observed samples (0 when empty).
-func (h Hist) Mean() float64 {
-	n := h.Total()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.SumV) / float64(n)
-}
-
 // Quantile returns an upper-bound estimate of the q-quantile: the
 // upper edge of the first bucket whose cumulative count reaches
 // q×Total, clamped to the exact maximum. q outside (0,1] is clamped.

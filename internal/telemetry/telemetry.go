@@ -17,8 +17,10 @@
 // span), exposable via expvar and a text dump.
 //
 // The cycle clock follows the same rule as trace.Stats.Cycles(): one
-// cycle per control step. A Recorder attached next to a trace.Tracer
-// therefore agrees with it exactly (telemetry tests assert this).
+// cycle per control step. Every step reaches a Recorder through the
+// dbc.DBC that also books it into its trace.Stats ledger, so the clock
+// agrees with the ledgers of the DBCs feeding it exactly (telemetry and
+// memory tests assert this).
 //
 // Overhead contract: a nil *Recorder is valid, discards everything and
 // costs a single inlineable nil check per hook, so the disabled engine

@@ -2,7 +2,10 @@
 // CORUSCANT simulator. Every device-level primitive executed by the
 // functional model (shifts, port reads/writes, transverse reads,
 // transverse writes) is counted in a Stats value; latency and energy are
-// then pure functions of those counts plus the params constants.
+// then pure functions of those counts plus the params constants. The
+// counting itself happens in one place: each dbc.DBC owns a Stats ledger
+// that its primitives and the PIM kernels running on it charge (see
+// dbc.DBC.Charge); this package defines the counters and their pricing.
 //
 // This mirrors the paper's methodology: the architecture-level results
 // are derived from per-primitive costs (NVSIM/LLG-derived in the paper,
@@ -106,103 +109,6 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, " (wire events: shift=%d tr=%d w=%d r=%d tw=%d)",
 		s.ShiftWires, s.TRWires, s.WriteBits, s.ReadBits, s.TWBits)
 	return b.String()
-}
-
-// Tracer accumulates Stats. The zero value is ready to use. A nil *Tracer
-// is also valid and discards all events, so hot paths need no nil checks
-// at call sites.
-type Tracer struct {
-	stats Stats
-}
-
-// Shift records one DBC-wide shift step affecting wires nanowires.
-func (t *Tracer) Shift(wires int) {
-	if t == nil {
-		return
-	}
-	t.stats.ShiftSteps++
-	t.stats.ShiftWires += wires
-}
-
-// TR records one transverse-read step over wires nanowires in parallel.
-func (t *Tracer) TR(wires int) {
-	if t == nil {
-		return
-	}
-	t.stats.TRSteps++
-	t.stats.TRWires += wires
-}
-
-// Write records one port-write step touching bits individual bits.
-func (t *Tracer) Write(bits int) {
-	if t == nil {
-		return
-	}
-	t.stats.WriteSteps++
-	t.stats.WriteBits += bits
-}
-
-// Read records one port-read step touching bits individual bits.
-func (t *Tracer) Read(bits int) {
-	if t == nil {
-		return
-	}
-	t.stats.ReadSteps++
-	t.stats.ReadBits += bits
-}
-
-// TW records one transverse-write step touching bits individual bits.
-func (t *Tracer) TW(bits int) {
-	if t == nil {
-		return
-	}
-	t.stats.TWSteps++
-	t.stats.TWBits += bits
-}
-
-// Copy records one laterally shifted read/write step (the Fig. 4(a)
-// brown forwarding path) touching bits individual bits.
-func (t *Tracer) Copy(bits int) {
-	if t == nil {
-		return
-	}
-	t.stats.CopySteps++
-	t.stats.CopyBits += bits
-}
-
-// Logic records one control step that uses only the PIM logic or row
-// buffer (no storage-array event).
-func (t *Tracer) Logic() {
-	if t == nil {
-		return
-	}
-	t.stats.LogicSteps++
-}
-
-// Stall records n idle cycles in which the controller holds the DBC
-// quiescent (recovery backoff between retry attempts). Stalls cost
-// latency but no energy.
-func (t *Tracer) Stall(n int) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.stats.StallSteps += n
-}
-
-// Stats returns a copy of the accumulated counters.
-func (t *Tracer) Stats() Stats {
-	if t == nil {
-		return Stats{}
-	}
-	return t.stats
-}
-
-// Reset clears the accumulated counters.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.stats = Stats{}
 }
 
 // Cost is a latency/energy pair used by analytic models (baselines and

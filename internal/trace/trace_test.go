@@ -8,44 +8,6 @@ import (
 	"repro/internal/params"
 )
 
-func TestNilTracerIsSafe(t *testing.T) {
-	var tr *Tracer
-	tr.Shift(8)
-	tr.TR(8)
-	tr.Write(8)
-	tr.Read(8)
-	tr.TW(8)
-	tr.Copy(8)
-	tr.Logic()
-	tr.Reset()
-	if got := tr.Stats(); got != (Stats{}) {
-		t.Errorf("nil tracer accumulated %+v", got)
-	}
-}
-
-func TestTracerAccumulates(t *testing.T) {
-	tr := &Tracer{}
-	tr.Shift(4)
-	tr.Shift(4)
-	tr.TR(16)
-	tr.Write(3)
-	tr.Read(2)
-	tr.TW(8)
-	tr.Copy(8)
-	tr.Logic()
-	s := tr.Stats()
-	if s.ShiftSteps != 2 || s.ShiftWires != 8 {
-		t.Errorf("shift %d/%d", s.ShiftSteps, s.ShiftWires)
-	}
-	if s.Cycles() != 8 {
-		t.Errorf("cycles = %d, want 8", s.Cycles())
-	}
-	tr.Reset()
-	if tr.Stats() != (Stats{}) {
-		t.Error("reset did not clear")
-	}
-}
-
 func TestStatsAddScale(t *testing.T) {
 	a := Stats{ShiftSteps: 1, TRSteps: 2, WriteBits: 3, CopySteps: 1, CopyBits: 4}
 	b := a
